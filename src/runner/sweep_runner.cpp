@@ -10,6 +10,7 @@
 
 #include "runner/checkpoint.hpp"
 #include "runner/thread_pool.hpp"
+#include "sim/domains.hpp"
 #include "telemetry/heartbeat.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace.hpp"
@@ -130,13 +131,23 @@ std::vector<SweepResult> SweepRunner::run(
     }
   }
 
+  std::size_t filled = 0;
+  for (const auto& row : done)
+    for (const char d : row) filled += d != 0 ? 1u : 0u;
+  const std::size_t pending =
+      num_points * static_cast<std::size_t>(n_seeds) - filled;
+
+  // Jobs that run at once split the CPUs: each simulation's automatic
+  // domain count (sim_domains=0) claims only its share, so a wide sweep
+  // keeps one thread per job and a lone large job gets every core.
+  const int concurrent = static_cast<int>(std::min<std::size_t>(
+      static_cast<std::size_t>(jobs_), std::max<std::size_t>(1, pending)));
+  const int share = core_share(available_cpus(), concurrent);
+
   // Heartbeat sidecar: progress records for whoever watches the run
   // (flexnet_run --progress, orchestrator liveness probes).
   std::unique_ptr<HeartbeatWriter> heartbeat;
   {
-    std::size_t filled = 0;
-    for (const auto& row : done)
-      for (const char d : row) filled += d != 0 ? 1u : 0u;
     std::string hb_path = heartbeat_set_            ? heartbeat_path_
                           : checkpoint_path_.empty() ? std::string()
                                                      : checkpoint_path_ + ".hb";
@@ -165,6 +176,7 @@ std::vector<SweepResult> SweepRunner::run(
   const auto run_job = [&](std::size_t s, std::size_t l, std::size_t p,
                            int k) {
     Simulator sim(job_config(series[s].config, loads[l], k));
+    sim.set_core_share(share);
     if (telemetry_ != nullptr) sim.set_telemetry(true);
     const int job_pid = 1 + static_cast<int>(p) * n_seeds + k;
     if (trace_ != nullptr && trace_packets_) sim.set_trace(trace_, job_pid);
@@ -296,11 +308,15 @@ SimResult SweepRunner::run_point(const SimConfig& config, int seeds) const {
       per_seed[static_cast<std::size_t>(k)] =
           Simulator(job_config(config, config.load, k)).run();
   } else {
-    ThreadPool pool(std::min(jobs_, n_seeds));
+    const int workers = std::min(jobs_, n_seeds);
+    const int share = core_share(available_cpus(), workers);
+    ThreadPool pool(workers);
     for (int k = 0; k < n_seeds; ++k) {
-      pool.submit([&per_seed, &config, k] {
+      pool.submit([&per_seed, &config, k, share] {
         per_seed[static_cast<std::size_t>(k)] =
-            Simulator(job_config(config, config.load, k)).run();
+            Simulator(job_config(config, config.load, k))
+                .set_core_share(share)
+                .run();
       });
     }
     pool.wait_idle();

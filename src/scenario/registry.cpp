@@ -1,5 +1,8 @@
 #include "scenario/registry.hpp"
 
+#include <stdexcept>
+#include <string>
+
 #include "core/vc_arrangement.hpp"
 
 namespace flexnet {
@@ -63,6 +66,12 @@ void validate_config(const SimConfig& cfg) {
   // The arrangement string is component-like config too: parse it now so a
   // malformed "vcs" fails with its parser's message, not mid-construction.
   (void)VcArrangement::parse(cfg.vcs);
+  // 0 is auto (sim/domains.hpp); a negative count used to clamp silently
+  // to the serial engine.
+  if (cfg.sim_domains < 0)
+    throw std::invalid_argument(
+        "sim_domains must be >= 0 (0 = pick from routers and cores); got " +
+        std::to_string(cfg.sim_domains));
 }
 
 std::vector<RegistryListing> list_registries() {

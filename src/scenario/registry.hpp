@@ -175,8 +175,9 @@ Registry<BufferMgmtFactory>& buffer_mgmt_registry();
 
 /// Checks every component name in `cfg` against its registry (unknown
 /// names enumerate the alternatives), runs each entry's validate hook,
-/// and parses the VC arrangement string. Throws std::invalid_argument
-/// (RegistryError for name lookups) on the first failure.
+/// parses the VC arrangement string, and rejects a negative sim_domains.
+/// Throws std::invalid_argument (RegistryError for name lookups) on the
+/// first failure.
 void validate_config(const SimConfig& cfg);
 
 /// Introspection snapshot of every registry, for --list and the docs.

@@ -75,10 +75,12 @@ struct SimConfig {
   int packet_size = 8;
 
   // --- Run control.
-  /// Deterministic intra-sim parallel domains Network::step sweeps with.
+  /// Deterministic intra-sim parallel domains Network::step sweeps with;
+  /// 0 (auto) lets the Network pick from its router count and the CPUs it
+  /// may claim (resolve_domains in sim/domains.hpp), negative is rejected.
   /// Purely an execution knob: results are byte-identical at any value
-  /// (tests/test_domains.cpp pins the no-perturb contract at {1,2,4}).
-  int sim_domains = 1;
+  /// (tests/test_domains.cpp pins the no-perturb contract at {1,2,3,4}).
+  int sim_domains = 0;
   Cycle warmup = 10000;
   Cycle measure = 30000;
   std::uint64_t seed = 1;

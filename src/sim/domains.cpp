@@ -1,5 +1,8 @@
 #include "sim/domains.hpp"
 
+#include <sched.h>
+
+#include <algorithm>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -9,6 +12,23 @@
 #include "common/check.hpp"
 
 namespace flexnet {
+
+int available_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0)
+    return std::max(1, CPU_COUNT(&set));
+  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+}
+
+int core_share(int cpus, int concurrent_jobs) {
+  return std::max(1, cpus / std::max(1, concurrent_jobs));
+}
+
+int resolve_domains(int requested, int routers, int core_share) {
+  if (requested > 0) return std::min(requested, std::max(1, routers));
+  return std::max(1, std::min(core_share, routers / kMinRoutersPerDomain));
+}
 
 // Generation-counted barrier team: run() publishes the job under the mutex
 // and bumps the generation; each worker executes its fixed domain once per

@@ -12,12 +12,38 @@
 // contiguous ascending router ranges per domain, single-writer phases, and
 // cross-domain effects staged per domain and merged in ascending domain
 // order at the barrier (see README "Engine architecture").
+//
+// The host queries behind the automatic domain count (`sim_domains=0`)
+// live here too: how many CPUs this process may run on, and the pure rule
+// that turns that share and a router count into a domain count.
 #pragma once
 
 #include <functional>
 #include <memory>
 
 namespace flexnet {
+
+/// Fewest routers a domain must own before splitting pays for its
+/// barriers: below it, the per-phase fork/join costs more than the sweep
+/// it parallelizes. From the measured crossover (README "Engine
+/// architecture"): the 36-router toy loses 4-30x at any D > 1; the
+/// 264-router (4,8,4) dragonfly gains at load 0.60 but loses near idle,
+/// so it stays serial; from 876 routers up every D tried gains.
+inline constexpr int kMinRoutersPerDomain = 256;
+
+/// CPUs this process may run on: its affinity mask, as `nproc` reports
+/// it (at least 1).
+int available_cpus();
+
+/// CPUs each of `concurrent_jobs` simultaneous simulations may claim out
+/// of `cpus` (at least 1).
+int core_share(int cpus, int concurrent_jobs);
+
+/// The domain count a network of `routers` runs at. An explicit request
+/// (`requested > 0`) keeps its meaning, clamped to the router count; auto
+/// (`requested == 0`) takes min(core_share, routers /
+/// kMinRoutersPerDomain), at least 1. Pure: no host query, no threads.
+int resolve_domains(int requested, int routers, int core_share);
 
 class DomainTeam {
  public:

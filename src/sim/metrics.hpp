@@ -27,9 +27,11 @@ class Metrics {
     window_cycles_ = now - window_start_;
   }
 
-  void on_generated(int phits) {
-    ++generated_packets_;
-    if (measuring_) offered_.add(phits);
+  /// `packets` generated packets of `phits` each. Integer amounts, so a
+  /// batch adds exactly what as many single calls would, in any order.
+  void on_generated(int phits, std::int64_t packets = 1) {
+    generated_packets_ += packets;
+    if (measuring_) offered_.add(static_cast<double>(phits * packets));
   }
 
   /// `completion` is the cycle the packet's tail reaches the consumption

@@ -15,7 +15,8 @@
 
 namespace flexnet {
 
-Network::Network(const SimConfig& config) : config_(config) {
+Network::Network(const SimConfig& config, int core_share)
+    : config_(config), core_share_(core_share) {
   // Registry-driven construction: unknown component names fail here with
   // an error enumerating the registered alternatives, and each component's
   // validate hook rejects configurations it cannot serve before any
@@ -183,8 +184,8 @@ void Network::build() {
   pattern_ = traffic_registry().at(config_.traffic).make.pattern(*topo_, config_);
   nodes_.reserve(static_cast<std::size_t>(topo_->num_nodes()));
   for (NodeId n = 0; n < topo_->num_nodes(); ++n) {
-    nodes_.push_back(std::make_unique<Node>(
-        n, config_, *pattern_, base.split(0x100000 + static_cast<std::uint64_t>(n))));
+    nodes_.emplace_back(n, config_, *pattern_,
+                        base.split(0x100000 + static_cast<std::uint64_t>(n)));
   }
 
   // Active-set bookkeeping and hot-path scratch, sized once here (the
@@ -209,10 +210,17 @@ void Network::build() {
 
   // Parallel domains: contiguous ascending router ranges so the ascending-
   // domain merge of staged effects reproduces the serial ascending-router
-  // order exactly. sim_domains is an execution knob only — results are
-  // byte-identical at any value.
-  domains_ = std::max(1, std::min(config_.sim_domains, num_routers));
+  // order exactly; a domain owns its routers' nodes, whose ids are
+  // contiguous per router (router_of_node = n / concentration), so node
+  // ranges ascend with the domains too. sim_domains is an execution knob
+  // only — results are byte-identical at any value — and auto (0)
+  // resolves here, never in the config, so canonical() and the grid
+  // fingerprint read the same on every host.
+  domains_ = resolve_domains(
+      config_.sim_domains, num_routers,
+      core_share_ > 0 ? core_share_ : available_cpus());
   router_domain_.resize(static_cast<std::size_t>(num_routers));
+  node_begin_.resize(static_cast<std::size_t>(domains_) + 1);
   for (int d = 0; d < domains_; ++d) {
     const int begin = static_cast<int>(
         static_cast<std::int64_t>(num_routers) * d / domains_);
@@ -220,7 +228,10 @@ void Network::build() {
         static_cast<std::int64_t>(num_routers) * (d + 1) / domains_);
     for (RouterId r = begin; r < end; ++r)
       router_domain_[static_cast<std::size_t>(r)] = d;
+    node_begin_[static_cast<std::size_t>(d)] = begin * inj_ports;
   }
+  node_begin_[static_cast<std::size_t>(domains_)] = topo_->num_nodes();
+  FLEXNET_CHECK(topo_->num_nodes() == num_routers * inj_ports);
   link_owner_.resize(static_cast<std::size_t>(total_links));
   link_owner_domain_.resize(static_cast<std::size_t>(total_links));
   link_to_domain_.resize(static_cast<std::size_t>(total_links));
@@ -410,11 +421,19 @@ void Network::step(Cycle now) {
   // every array element has exactly one writer per phase.
   team_->run([this, now](int d) { deliver_data(d, now); });
   flush_lane_adds();  // cut-through credits may cross domains
-  team_->run([this, now](int d) { deliver_credits(d, now); });
+  // The node phase shares the credits fork: a node reads only its own
+  // source queues and injection buffer, which no credit touches, and
+  // routing_->update reads only the ledgers, which no node touches.
+  team_->run([this, now](int d) {
+    deliver_credits(d, now);
+    step_nodes(d, now);
+  });
   routing_->update(now);
-  for (auto& node : nodes_) node->step(now, *this);
+  admit_injections(now);
   team_->run([this, now](int d) {
     DomainScratch& ds = scratch_[static_cast<std::size_t>(d)];
+    for (const StagedInject& si : ds.injected) push_injection(si, d);
+    ds.injected.clear();
     // Fire the ejection wakes due this cycle before sweeping: the slots
     // they arm (and their routers) must arbitrate in this allocation pass.
     auto& due = eject_wake_[static_cast<std::size_t>(d)][static_cast<
@@ -587,7 +606,7 @@ void Network::commit_allocate(Cycle now) {
       const Packet& pkt = pool_[sc.ref];
       if (trace_ != nullptr) trace_packet(pkt, sc.ref, now);
       metrics_.on_consumed(pkt, sc.completion);
-      if (nodes_[static_cast<std::size_t>(pkt.dst)]->consume_spawns_reply(pkt))
+      if (nodes_[static_cast<std::size_t>(pkt.dst)].consume_spawns_reply(pkt))
         metrics_.on_generated(config_.effective_packet_phits());
       pool_.release(sc.ref);
     }
@@ -596,11 +615,39 @@ void Network::commit_allocate(Cycle now) {
   flush_lane_adds();  // grants push upstream credits across domains
 }
 
-bool Network::try_inject(NodeId n, Packet& pkt, Cycle now) {
+void Network::step_nodes(int d, Cycle now) {
+  DomainScratch& ds = scratch_[static_cast<std::size_t>(d)];
+  for (NodeId n = node_begin_[static_cast<std::size_t>(d)];
+       n < node_begin_[static_cast<std::size_t>(d) + 1]; ++n) {
+    Node& node = nodes_[static_cast<std::size_t>(n)];
+    if (node.generate(now)) ++ds.generated;
+    node.inject(now, [&](const Packet& pkt) {
+      const VcIndex vc = injection_vc(n, pkt);
+      if (vc == kInvalidVc) return false;
+      ds.injected.push_back(StagedInject{n, vc, kInvalidPacketRef, pkt});
+      return true;
+    });
+  }
+}
+
+void Network::admit_injections(Cycle now) {
+  // Barrier after the node phase: ascending domains over contiguous node
+  // ranges visit the staged injections in ascending node order, and no
+  // pool slot is taken or freed since the previous commit_allocate — so
+  // every packet gets the id and pool slot a serial node loop would give
+  // it. Generation counts are integer sums: their merge order never shows.
+  for (int d = 0; d < domains_; ++d) {
+    DomainScratch& ds = scratch_[static_cast<std::size_t>(d)];
+    metrics_.on_generated(config_.effective_packet_phits(), ds.generated);
+    ds.generated = 0;
+    for (StagedInject& si : ds.injected) admit(si, now);
+  }
+}
+
+VcIndex Network::injection_vc(NodeId n, const Packet& pkt) const {
   const RouterId r = topo_->router_of_node(n);
-  const int node_local = n % topo_->concentration();
-  const PortIndex ip = net_ports(r) + node_local;
-  InputBuffer& buf = in_[static_cast<std::size_t>(input_at(r, ip))];
+  const PortIndex ip = net_ports(r) + n % topo_->concentration();
+  const InputBuffer& buf = in_[static_cast<std::size_t>(input_at(r, ip))];
   // Reactive traffic keeps the last injection VC exclusive to replies so
   // blocked requests can never starve reply injection (protocol deadlock
   // avoidance extends to the injection queues).
@@ -622,28 +669,42 @@ bool Network::try_inject(NodeId n, Packet& pkt, Cycle now) {
       best_free = free;
     }
   }
-  if (best == kInvalidVc) return false;
-  pkt.id = next_packet_id_++;
-  pkt.injected = now;
-  pkt.vc_position = kInjectionPosition;
-  const PacketRef ref = pool_.alloc(pkt);
+  return best;
+}
+
+void Network::admit(StagedInject& si, Cycle now) {
+  si.pkt.id = next_packet_id_++;
+  si.pkt.injected = now;
+  si.pkt.vc_position = kInjectionPosition;
+  si.ref = pool_.alloc(si.pkt);
   if (record_routes_) {
-    if (traces_.size() <= static_cast<std::size_t>(ref))
-      traces_.resize(static_cast<std::size_t>(ref) + 1);
-    traces_[static_cast<std::size_t>(ref)].clear();
+    if (traces_.size() <= static_cast<std::size_t>(si.ref))
+      traces_.resize(static_cast<std::size_t>(si.ref) + 1);
+    traces_[static_cast<std::size_t>(si.ref)].clear();
   }
-  // Every pool slot enters the network here (serial node phase), so
-  // growing the flit side store now keeps the parallel grant phase free of
-  // resizes.
-  if (flit_ && flit_src_link_.size() <= static_cast<std::size_t>(ref))
-    flit_src_link_.resize(static_cast<std::size_t>(ref) + 1, -1);
-  buf.push(best, ref, pkt.size);
+  // Every pool slot enters the network here (serially), so growing the
+  // flit side store now keeps the parallel grant phase free of resizes.
+  if (flit_ && flit_src_link_.size() <= static_cast<std::size_t>(si.ref))
+    flit_src_link_.resize(static_cast<std::size_t>(si.ref) + 1, -1);
+}
+
+void Network::push_injection(const StagedInject& si, int d) {
+  const RouterId r = topo_->router_of_node(si.node);
+  const int gi = input_at(r, net_ports(r) + si.node % topo_->concentration());
+  in_[static_cast<std::size_t>(gi)].push(si.vc, si.ref, si.pkt.size);
   FLEXNET_TELEM(if (telem_.enabled()) telem_.on_injection(r));
   ++router_buffered_[static_cast<std::size_t>(r)];
-  arm_slot(r, input_at(r, ip), best);
-  alloc_sets_[static_cast<std::size_t>(
-                  router_domain_[static_cast<std::size_t>(r)])]
-      .add(r);
+  arm_slot(r, gi, si.vc);
+  alloc_sets_[static_cast<std::size_t>(d)].add(r);
+}
+
+bool Network::try_inject(NodeId n, Packet& pkt, Cycle now) {
+  StagedInject si{n, injection_vc(n, pkt), kInvalidPacketRef, pkt};
+  if (si.vc == kInvalidVc) return false;
+  admit(si, now);
+  push_injection(
+      si, router_domain_[static_cast<std::size_t>(topo_->router_of_node(n))]);
+  pkt = si.pkt;
   return true;
 }
 
@@ -706,13 +767,13 @@ bool Network::find_action(RouterId r, PortIndex ip, VcIndex vc, Cycle now,
           output_index_[static_cast<std::size_t>(r)] +
           eject_output_index(r, head.dst % topo_->concentration(), head.cls);
       if (out_matched_[static_cast<std::size_t>(out)]) return false;
-      if (!nodes_[static_cast<std::size_t>(head.dst)]->can_consume(head.cls,
+      if (!nodes_[static_cast<std::size_t>(head.dst)].can_consume(head.cls,
                                                                    now)) {
         // Consumption is the safe sink: wait. A port-busy block clears at
         // a known cycle — park in the wake calendar instead of retrying;
         // a reply-queue block (reactive) has no timer, so stay armed.
         const Cycle free_at =
-            nodes_[static_cast<std::size_t>(head.dst)]->consume_free_at(
+            nodes_[static_cast<std::size_t>(head.dst)].consume_free_at(
                 head.cls);
         if (free_at > now) schedule_eject_wake(ds, r, gi, vc, free_at, now);
         return false;
@@ -775,12 +836,12 @@ bool Network::find_action(RouterId r, PortIndex ip, VcIndex vc, Cycle now,
       commit.out_position = -1;
       commit.safe = true;
       if (out_matched_[static_cast<std::size_t>(out)]) return false;
-      if (!nodes_[static_cast<std::size_t>(head.dst)]->can_consume(head.cls,
+      if (!nodes_[static_cast<std::size_t>(head.dst)].can_consume(head.cls,
                                                                    now)) {
         // Freshly committed (safe): revalidation is RNG-free from here on,
         // so a port-busy block can park in the wake calendar too.
         const Cycle free_at =
-            nodes_[static_cast<std::size_t>(head.dst)]->consume_free_at(
+            nodes_[static_cast<std::size_t>(head.dst)].consume_free_at(
                 head.cls);
         if (free_at > now) schedule_eject_wake(ds, r, gi, vc, free_at, now);
         return false;
@@ -1114,7 +1175,7 @@ void Network::grant(RouterId r, const Request& req, Cycle now,
     // ascending-domain (= ascending-router) order at commit_allocate so
     // parallel domains reproduce the serial order byte for byte.
     const Cycle completion =
-        nodes_[static_cast<std::size_t>(pkt.dst)]->consume(pkt, now);
+        nodes_[static_cast<std::size_t>(pkt.dst)].consume(pkt, now);
     ds.consumed.push_back(StagedConsume{slot.ref, completion});
     return;
   }

@@ -30,7 +30,12 @@
 //     contiguous ascending router ranges, one phase at a time with a full
 //     barrier between phases, cross-domain effects staged per domain and
 //     merged in ascending domain order — so any domain count produces
-//     byte-identical reports (tests/test_domains.cpp).
+//     byte-identical reports (tests/test_domains.cpp). Nodes belong to
+//     their router's domain: each domain generates its nodes' traffic and
+//     picks their injection VCs, and a serial merge hands out packet ids
+//     and pool slots in ascending node order. `sim_domains=0` (the
+//     default) picks the count from the router count and the CPUs this
+//     network may claim (resolve_domains in sim/domains.hpp).
 // Determinism invariants are spelled out in README "Engine architecture";
 // tests/test_core_equivalence.cpp enforces them against golden reports.
 #pragma once
@@ -63,7 +68,10 @@ class TraceWriter;
 
 class Network final : public CongestionOracle {
  public:
-  explicit Network(const SimConfig& config);
+  /// `core_share` is the CPUs this network may claim when
+  /// `config.sim_domains` is 0 (auto); 0 means every CPU this process may
+  /// run on. A sweep running several jobs at once passes its per-job share.
+  explicit Network(const SimConfig& config, int core_share = 0);
   ~Network() override;
 
   /// Advances one link-clock cycle.
@@ -73,6 +81,10 @@ class Network final : public CongestionOracle {
   int port_occupancy(RouterId r, PortIndex p, bool min_only) const override;
   int vc_occupancy(RouterId r, PortIndex p, VcIndex vc,
                    bool min_only) const override;
+
+  /// Parallel domains step() runs in: `sim_domains`, or its resolution
+  /// when that is 0 (auto). Never part of any result.
+  int domains() const { return domains_; }
 
   const Topology& topology() const { return *topo_; }
   const SimConfig& config() const { return config_; }
@@ -126,8 +138,9 @@ class Network final : public CongestionOracle {
   /// this ratio is the bench_hot_path pruning-progress oracle.
   std::int64_t re_requests() const { return re_requests_; }
 
-  /// Moves a packet from a node into its router's injection buffer; false
-  /// when every eligible injection VC is full.
+  /// Moves a packet from a node into its router's injection buffer at
+  /// once (tests and hand-built scenarios; step() stages its nodes'
+  /// injections instead); false when every eligible injection VC is full.
   bool try_inject(NodeId n, Packet& pkt, Cycle now);
 
   /// Occupancy of a specific input VC of a router port (tests/inspection).
@@ -236,6 +249,17 @@ class Network final : public CongestionOracle {
     Cycle completion = 0;
   };
 
+  /// Injection staged by the node phase: the node's domain has already
+  /// picked the VC and popped the packet off its source queue; the serial
+  /// merge (admit_injections) assigns the packet id and pool slot, and the
+  /// domain pushes and arms it when its allocation phase starts.
+  struct StagedInject {
+    NodeId node = kInvalidNode;
+    VcIndex vc = kInvalidVc;
+    PacketRef ref = kInvalidPacketRef;
+    Packet pkt;
+  };
+
   /// Per-domain hot-path scratch plus the staging lanes that make the
   /// parallel sweep deterministic: counters accumulate thread-locally and
   /// fold into the Network totals at the barrier; cross-domain ActiveSet
@@ -247,6 +271,8 @@ class Network final : public CongestionOracle {
     std::vector<VcCandidate> cands;
     std::vector<std::int32_t> touched;      ///< output lanes filled this iter
     std::vector<StagedConsume> consumed;    ///< ejections for the barrier
+    std::vector<StagedInject> injected;     ///< node injections, node order
+    std::int64_t generated = 0;             ///< packets the nodes generated
     std::vector<std::int32_t> credit_adds;  ///< cross-domain credit-lane ids
     std::vector<std::int32_t> data_adds;    ///< cross-domain data-lane ids
     std::int64_t grants = 0;
@@ -263,6 +289,11 @@ class Network final : public CongestionOracle {
   void build();
   void deliver_data(int d, Cycle now);
   void deliver_credits(int d, Cycle now);
+  void step_nodes(int d, Cycle now);
+  void admit_injections(Cycle now);
+  VcIndex injection_vc(NodeId n, const Packet& pkt) const;
+  void admit(StagedInject& si, Cycle now);
+  void push_injection(const StagedInject& si, int d);
   void allocate(RouterId r, Cycle now, DomainScratch& ds);
   void commit_allocate(Cycle now);
   void trace_packet(const Packet& pkt, PacketRef ref, Cycle now) const;
@@ -441,7 +472,9 @@ class Network final : public CongestionOracle {
   // phase. A team of one (`sim_domains=1`) runs everything inline on the
   // caller with no thread machinery at all.
   int domains_ = 1;
+  int core_share_ = 0;  // CPUs sim_domains=0 may claim (0: all available)
   std::vector<std::int32_t> router_domain_;     // per router
+  std::vector<NodeId> node_begin_;  // per domain + sentinel: its first node
   std::vector<RouterId> link_owner_;            // per link: (owner, port) inverse
   std::vector<std::int32_t> link_owner_domain_; // per link
   std::vector<std::int32_t> link_to_domain_;    // per link: receiver's domain
@@ -480,7 +513,7 @@ class Network final : public CongestionOracle {
   // Per domain: ring of per-cycle wake buckets, entries (gi<<6)|vc.
   std::vector<std::vector<std::vector<std::int32_t>>> eject_wake_;
 
-  std::vector<std::unique_ptr<Node>> nodes_;
+  std::vector<Node> nodes_;  // by node id; each domain steps a contiguous range
   std::unique_ptr<TrafficPattern> pattern_;
 
   Metrics metrics_;

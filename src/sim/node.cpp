@@ -2,7 +2,6 @@
 
 #include "common/check.hpp"
 #include "scenario/registry.hpp"
-#include "sim/network.hpp"
 
 namespace flexnet {
 
@@ -17,45 +16,27 @@ Node::Node(NodeId id, const SimConfig& config, const TrafficPattern& pattern,
       traffic_registry().at(config_.traffic).make.process(config_, request_load);
 }
 
-void Node::step(Cycle now, Network& net) {
-  generate(now, net);
-  inject(now, net);
-}
-
-void Node::inject(Cycle now, Network& net) {
-  // The injection channel carries one phit per cycle: at most one packet
-  // per packet_size cycles enters the router.
-  if (inject_busy_until_ > now) return;
-  // Replies first: they unblock request consumption at remote nodes.
-  for (int c : {static_cast<int>(MsgClass::kReply),
-                static_cast<int>(MsgClass::kRequest)}) {
-    auto& queue = source_[c];
-    if (queue.empty()) continue;
-    if (queue.front().created > now) continue;  // reply not materialized yet
-    if (net.try_inject(id_, queue.front(), now)) {
-      queue.pop_front();
-      inject_busy_until_ = now + config_.effective_packet_phits();
-      return;
-    }
-  }
-}
-
-void Node::generate(Cycle now, Network& net) {
-  if (!process_->step(rng_)) return;
+bool Node::generate(Cycle now) {
+  if (!process_->step(rng_)) return false;
   // Non-bursty processes report every packet as a new burst, so this is
   // the only destination-refresh rule needed for any registered traffic.
   if (process_->new_burst() || burst_destination_ == kInvalidNode) {
     burst_destination_ = pattern_.destination(id_, rng_);
   }
+  source_[static_cast<int>(MsgClass::kRequest)].push_back(
+      Queued{burst_destination_, now});
+  return true;
+}
+
+Packet Node::packet_of(const Queued& q, MsgClass cls) const {
   Packet pkt;
   pkt.src = id_;
-  pkt.dst = burst_destination_;
+  pkt.dst = q.dst;
   pkt.size = config_.effective_packet_phits();
-  pkt.cls = MsgClass::kRequest;
-  pkt.created = now;
+  pkt.cls = cls;
+  pkt.created = q.created;
   pkt.vc_position = kInjectionPosition;
-  source_[static_cast<int>(MsgClass::kRequest)].push_back(pkt);
-  net.metrics().on_generated(pkt.size);
+  return pkt;
 }
 
 bool Node::can_consume(MsgClass cls, Cycle now) const {
@@ -75,16 +56,9 @@ Cycle Node::consume(const Packet& pkt, Cycle now) {
   // adds latency but overlaps with the next packet's transfer.
   const Cycle completion = now + config_.pipeline_latency + pkt.size;
   consume_busy_until_[static_cast<int>(pkt.cls)] = now + pkt.size;
-  if (consume_spawns_reply(pkt)) {
-    Packet reply;
-    reply.src = id_;
-    reply.dst = pkt.src;
-    reply.size = config_.effective_packet_phits();
-    reply.cls = MsgClass::kReply;
-    reply.created = completion;
-    reply.vc_position = kInjectionPosition;
-    source_[static_cast<int>(MsgClass::kReply)].push_back(reply);
-  }
+  if (consume_spawns_reply(pkt))
+    source_[static_cast<int>(MsgClass::kReply)].push_back(
+        Queued{pkt.src, completion});
   return completion;
 }
 

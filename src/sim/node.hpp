@@ -3,27 +3,45 @@
 // reactive (request-reply) traffic.
 #pragma once
 
-#include <deque>
 #include <memory>
 
 #include "buffers/packet.hpp"
+#include "common/event_lane.hpp"
 #include "common/rng.hpp"
 #include "sim/config.hpp"
 #include "traffic/traffic.hpp"
 
 namespace flexnet {
 
-class Network;
-
 class Node {
  public:
   Node(NodeId id, const SimConfig& config, const TrafficPattern& pattern,
        Rng rng);
 
-  /// Generates traffic for this cycle and moves source-queue heads into the
-  /// router's injection buffers (at most one packet per packet_size cycles:
-  /// the injection channel is one phit per cycle).
-  void step(Cycle now, Network& net);
+  /// Draws this cycle's traffic from the node's own RNG; returns whether a
+  /// request joined the source queue (the caller counts it as generated).
+  bool generate(Cycle now);
+
+  /// Offers a source-queue head to the router, replies first (they
+  /// unblock request consumption at remote nodes): at most one packet per
+  /// packet_size cycles, since the injection channel carries one phit per
+  /// cycle. `admit(pkt)` returns whether the router took the packet; the
+  /// node then pops it. The node touches only its own state, so nodes of
+  /// different domains inject in parallel.
+  template <typename Admit>
+  void inject(Cycle now, Admit&& admit) {
+    if (inject_busy_until_ > now) return;
+    for (const MsgClass cls : {MsgClass::kReply, MsgClass::kRequest}) {
+      EventLane<Queued>& queue = source_[static_cast<int>(cls)];
+      if (queue.empty()) continue;
+      if (queue.front().created > now) continue;  // reply not materialized yet
+      if (admit(packet_of(queue.front(), cls))) {
+        queue.pop_front();
+        inject_busy_until_ = now + config_.effective_packet_phits();
+        return;
+      }
+    }
+  }
 
   /// Whether the consumption port of the class can take a packet now. For
   /// requests under reactive traffic this also requires room in the reply
@@ -60,8 +78,15 @@ class Node {
   }
 
  private:
-  void generate(Cycle now, Network& net);
-  void inject(Cycle now, Network& net);
+  /// A source-queue entry: the rest of the packet header follows from the
+  /// node, the queue's class and the config, so a backlog of thousands of
+  /// packets (saturated runs) costs 16 bytes per packet, not a Packet.
+  struct Queued {
+    NodeId dst = kInvalidNode;
+    Cycle created = 0;
+  };
+
+  Packet packet_of(const Queued& q, MsgClass cls) const;
 
   NodeId id_;
   const SimConfig& config_;
@@ -69,7 +94,10 @@ class Node {
   Rng rng_;
   std::unique_ptr<InjectionProcess> process_;
 
-  std::deque<Packet> source_[kNumMsgClasses];
+  // Rings allocate on first push: a node costs no heap block per queue
+  // until it generates (or is sent a request), which keeps construction of
+  // a paper-scale network's 16,512 nodes cheap.
+  EventLane<Queued> source_[kNumMsgClasses];
   NodeId burst_destination_ = kInvalidNode;
   Cycle inject_busy_until_ = 0;
   Cycle consume_busy_until_[kNumMsgClasses] = {0, 0};

@@ -7,7 +7,7 @@
 namespace flexnet {
 
 SimResult Simulator::run() {
-  network_ = std::make_unique<Network>(config_);
+  network_ = std::make_unique<Network>(config_, core_share_);
   Network& net = *network_;
   if (telemetry_override_ >= 0)
     net.set_telemetry_enabled(telemetry_override_ != 0);

@@ -47,6 +47,14 @@ class Simulator {
     return *this;
   }
 
+  /// CPUs this run's Network may claim when sim_domains is 0 (auto); 0,
+  /// the default, means every CPU the process may run on. A sweep running
+  /// several jobs at once passes each its share.
+  Simulator& set_core_share(int cpus) {
+    core_share_ = cpus;
+    return *this;
+  }
+
   /// Emits per-packet lifetime spans of this run into `trace` under
   /// process id `pid` (see telemetry/trace.hpp). Null disables.
   Simulator& set_trace(TraceWriter* trace, int pid) {
@@ -61,6 +69,7 @@ class Simulator {
  private:
   SimConfig config_;
   int telemetry_override_ = -1;
+  int core_share_ = 0;
   TraceWriter* trace_ = nullptr;
   int trace_pid_ = 0;
   std::unique_ptr<Network> network_;

@@ -152,6 +152,22 @@ TEST(BuiltinRegistries, ValidateHooksRejectBadConfigs) {
   EXPECT_NO_THROW(validate_config(SimConfig{}));
 }
 
+// sim_domains=0 means auto, so a negative count no longer has a silent
+// serial meaning: validation (and hence Network construction and suite
+// materialization) rejects it with its reason.
+TEST(BuiltinRegistries, NegativeSimDomainsRejected) {
+  SimConfig cfg;
+  cfg.sim_domains = -3;
+  const std::string msg = thrown_message([&] { validate_config(cfg); });
+  EXPECT_NE(msg.find("sim_domains must be >= 0"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("got -3"), std::string::npos) << msg;
+  EXPECT_THROW({ Network net(cfg); }, std::invalid_argument);
+  for (const int ok : {0, 1, 4}) {
+    cfg.sim_domains = ok;
+    EXPECT_NO_THROW(validate_config(cfg)) << "sim_domains=" << ok;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Suite parsing.
 
